@@ -17,7 +17,7 @@ use etsc_eval::report::render_matrix_status;
 use etsc_eval::supervisor::SupervisorOptions;
 use etsc_eval::{CommonOpts, FaultPlan, MatrixRunner, TriggerCellResult};
 use etsc_net::{
-    AdmissionConfig, Client, ClientConfig, Endpoint, NetError, RouterBuilder, ServerBuilder,
+    AdmissionConfig, Client, ClientConfig, NetError, NetServer, Router, RouterConfig, ServerConfig,
 };
 use etsc_serve::{
     fit_model, fit_triggered_model, load_resilient, replay_dataset, Backpressure, BrownoutConfig,
@@ -907,29 +907,28 @@ fn serve_listen(addr: &str, flags: &Flags, out: &mut dyn Write) -> Result<(), Cl
     } else {
         None
     };
-    let mut builder = ServerBuilder::new()
-        .max_connections(parse(flags, "max-conns", 64_usize)?)
-        .max_pending_frames(parse(flags, "queue", 1024_usize)?)
-        .backpressure(if parse(flags, "shed", false)? {
+    let config = ServerConfig {
+        max_connections: parse(flags, "max-conns", 64_usize)?,
+        max_pending_frames: parse(flags, "queue", 1024_usize)?,
+        backpressure: if parse(flags, "shed", false)? {
             Backpressure::Shed
         } else {
             Backpressure::Block
-        })
+        },
         // 0 = auto-size to the machine (clamped by the server).
-        .event_loop_threads(parse(flags, "event-loops", 0_usize)?)
-        .obs(obs.clone());
-    if let Some(mut d) = parse_deadline(flags)? {
-        d.prior_label = stored.meta.prior_label;
-        builder = builder.deadline(d);
-    }
-    if let Some(plan) = faults {
-        builder = builder.faults(plan, fault_horizon);
-    }
-    if let Some(a) = admission {
-        builder = builder.admission(a);
-    }
+        event_loop_threads: parse(flags, "event-loops", 0_usize)?,
+        deadline: parse_deadline(flags)?.map(|d| DeadlineConfig {
+            prior_label: stored.meta.prior_label,
+            ..d
+        }),
+        faults,
+        fault_horizon,
+        admission,
+        obs: obs.clone(),
+        ..ServerConfig::default()
+    };
     let meta = stored.meta.clone();
-    let server = Endpoint::serve(Arc::new(stored), addr, builder)
+    let server = NetServer::bind(Arc::new(stored), addr, config)
         .map_err(|e| CliError::Runtime(format!("binding {addr}: {e}")))?;
     emit(
         out,
@@ -1011,15 +1010,15 @@ fn route_listen(addr: &str, flags: &Flags, out: &mut dyn Write) -> Result<(), Cl
     }
     let opts = common_opts(flags)?;
     let obs = opts.build_obs();
-    let builder = RouterBuilder::new()
-        .max_connections(parse(flags, "max-conns", 64_usize)?)
-        .vnodes(parse(flags, "vnodes", 64_usize)?)
-        .probes(
-            Duration::from_millis(parse(flags, "probe-interval-ms", 200_u64)?),
-            Duration::from_millis(parse(flags, "probe-timeout-ms", 500_u64)?),
-        )
-        .obs(obs.clone());
-    let router = Endpoint::route(addr, &shards, builder)
+    let config = RouterConfig {
+        max_connections: parse(flags, "max-conns", 64_usize)?,
+        vnodes: parse(flags, "vnodes", 64_usize)?,
+        probe_interval: Duration::from_millis(parse(flags, "probe-interval-ms", 200_u64)?),
+        probe_timeout: Duration::from_millis(parse(flags, "probe-timeout-ms", 500_u64)?),
+        obs: obs.clone(),
+        ..RouterConfig::default()
+    };
+    let router = Router::bind(addr, &shards, config)
         .map_err(|e| CliError::Runtime(format!("binding {addr}: {e}")))?;
     emit(
         out,
@@ -1878,6 +1877,17 @@ mod tests {
             ),
             Err(CliError::Usage(_))
         ));
+        match run_to_string(
+            "route",
+            &flags(&[
+                ("listen", "127.0.0.1:0"),
+                ("shards", "127.0.0.1:1"),
+                ("vnodes", "0"),
+            ]),
+        ) {
+            Err(CliError::Runtime(msg)) => assert!(msg.contains("vnodes"), "{msg}"),
+            other => panic!("a zero-vnode ring must be refused by name, got {other:?}"),
+        }
         assert!(matches!(
             run_to_string("replicate", &flags(&[("model", "x.model")])),
             Err(CliError::Usage(_))

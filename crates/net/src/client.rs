@@ -31,8 +31,8 @@ use crate::proto::{
 /// bounded waits stay responsive, long enough not to spin.
 const READ_POLL: Duration = Duration::from_millis(25);
 
-/// Tuning knobs for [`Client`]. Prefer building this through
-/// [`crate::ClientBuilder`], which validates the combination.
+/// Tuning knobs for [`Client`]. [`Client::connect`] refuses a
+/// combination [`ClientConfig::validate`] rejects.
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
     /// Peer identification sent in the handshake.
@@ -174,8 +174,8 @@ pub enum NetError {
     Timeout(String),
     /// The connection is gone and could not be re-established.
     Closed(String),
-    /// A builder refused the config combination before dialing (see
-    /// [`crate::ConfigError`]).
+    /// [`ClientConfig::validate`] refused the config before dialing
+    /// (see [`crate::ConfigError`]).
     Config(String),
 }
 
@@ -265,9 +265,14 @@ impl Client {
     /// server's `retry_after_ms` hint under the usual seeded jitter.
     ///
     /// # Errors
-    /// [`NetError::Proto`] on dial/handshake failure, [`NetError::Server`]
-    /// when the server refuses the connection (shedding, draining).
+    /// [`NetError::Config`] when [`ClientConfig::validate`] refuses
+    /// `config`, [`NetError::Proto`] on dial/handshake failure,
+    /// [`NetError::Server`] when the server refuses the connection
+    /// (shedding, draining).
     pub fn connect(addr: &str, config: ClientConfig) -> Result<Client, NetError> {
+        config
+            .validate()
+            .map_err(|e| NetError::Config(e.to_string()))?;
         let mut attempt: u32 = 0;
         let (stream, dec, meta, negotiated) = loop {
             match dial(addr, &config) {

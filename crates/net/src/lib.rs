@@ -47,11 +47,12 @@
 //!   router, driven by the load generator, with the seeded shard-level
 //!   faults (kill, blackhole, slow shard) the chaos suite asserts
 //!   against;
-//! * [`options`] — the embedding API: validated [`ServerBuilder`] /
-//!   [`ClientBuilder`] / [`RouterBuilder`] sharing a [`NetOptions`]
-//!   core, and [`Endpoint`] as the unified front door
-//!   (`serve`/`route`/`connect`/`fleet`). The flat-field config
-//!   structs remain the runtime representation behind the builders.
+//! * [`options`] — validation of the flat config structs:
+//!   [`ServerConfig::validate`], [`ClientConfig::validate`] and
+//!   [`RouterConfig::validate`], which [`NetServer::bind`],
+//!   [`Client::connect`] and [`Router::bind`] run before they create
+//!   any socket or thread, refusing a bad combination with a
+//!   [`ConfigError`] that names the field.
 //!
 //! The paper's Figure 13 asks whether an algorithm's testing time per
 //! decision keeps up with the stream's observation frequency; this
@@ -71,7 +72,7 @@ pub mod server;
 pub use client::{reconnect_delay, Client, ClientConfig, Decision, NetError};
 pub use fleet::{run_fleet, FleetOptions, FleetReport, ShardReport};
 pub use loadgen::{run_loadgen, LoadReport, LoadgenOptions};
-pub use options::{ClientBuilder, ConfigError, Endpoint, NetOptions, RouterBuilder, ServerBuilder};
+pub use options::{ConfigError, RouterBuilder};
 pub use poll::{Event, Poller, WAKE_TOKEN};
 pub use proto::{
     encode_frame, encode_frame_into, write_frame, BatchDecision, BufferPool, DecisionKind,

@@ -50,8 +50,8 @@ const CLIENT_TOKEN: u64 = 0;
 /// wakeup must not hang a thread forever.
 const READ_BACKSTOP: Duration = Duration::from_millis(100);
 
-/// Tuning knobs for [`Router`]. Prefer building this through
-/// [`crate::RouterBuilder`], which validates the combination.
+/// Tuning knobs for [`Router`]. [`Router::bind`] refuses a
+/// combination [`RouterConfig::validate`] rejects.
 #[derive(Clone)]
 pub struct RouterConfig {
     /// Peer identification the router sends to shards.
@@ -573,12 +573,15 @@ impl Router {
     /// across `shards` (backend addresses) on background threads.
     ///
     /// # Errors
-    /// `std::io::Error` when the address cannot be bound.
+    /// `std::io::Error` of kind `InvalidInput` when
+    /// [`RouterConfig::validate`] refuses `config`; otherwise when the
+    /// address cannot be bound.
     pub fn bind<A: ToSocketAddrs>(
         addr: A,
         shards: &[String],
         config: RouterConfig,
     ) -> std::io::Result<Router> {
+        config.validate()?;
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;

@@ -89,8 +89,8 @@ impl Default for AdmissionConfig {
     }
 }
 
-/// Tuning knobs for [`NetServer`]. Prefer building this through
-/// [`crate::ServerBuilder`], which validates the combination.
+/// Tuning knobs for [`NetServer`]. [`NetServer::bind`] refuses a
+/// combination [`ServerConfig::validate`] rejects.
 #[derive(Clone)]
 pub struct ServerConfig {
     /// Concurrent connections before accept-time shedding.
@@ -481,13 +481,15 @@ impl NetServer {
     /// serving `model` on a pool of background event loops.
     ///
     /// # Errors
-    /// `std::io::Error` when the address cannot be bound or the event
-    /// loops cannot be created.
+    /// `std::io::Error` of kind `InvalidInput` when
+    /// [`ServerConfig::validate`] refuses `config`; otherwise when the
+    /// address cannot be bound or the event loops cannot be created.
     pub fn bind<A: ToSocketAddrs>(
         model: Arc<StoredModel>,
         addr: A,
         config: ServerConfig,
     ) -> std::io::Result<NetServer> {
+        config.validate()?;
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;

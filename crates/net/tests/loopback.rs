@@ -209,3 +209,49 @@ fn version_mismatch_is_refused() {
     let stats = server.join();
     assert_eq!(stats.proto_errors, 1);
 }
+
+#[test]
+fn bind_refuses_an_invalid_literal_config_by_field() {
+    let data = synthetic();
+    let model = Arc::new(fit_model(AlgoSpec::Ects, &data, &RunConfig::fast()).unwrap());
+    let bound = NetServer::bind(
+        model,
+        "127.0.0.1:0",
+        ServerConfig {
+            max_frame_bytes: 16,
+            ..ServerConfig::default()
+        },
+    );
+    match bound {
+        Err(e) => {
+            assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{e}");
+            assert!(e.to_string().contains("max_frame_bytes"), "{e}");
+        }
+        Ok(server) => {
+            server.join();
+            panic!("a 16-byte frame ceiling was accepted");
+        }
+    }
+}
+
+#[test]
+fn connect_refuses_an_invalid_literal_config_before_dialing() {
+    let (server, _data) = serve_synthetic(ServerConfig::default());
+    let addr = server.local_addr().to_string();
+    let dialled = Client::connect(
+        &addr,
+        ClientConfig {
+            reconnect_jitter: 1.5,
+            ..ClientConfig::default()
+        },
+    );
+    match dialled {
+        Err(NetError::Config(message)) => {
+            assert!(message.contains("reconnect_jitter"), "{message}");
+        }
+        Err(other) => panic!("expected a config refusal, got {other:?}"),
+        Ok(_) => panic!("jitter 1.5 was accepted"),
+    }
+    let stats = server.join();
+    assert_eq!(stats.connections_accepted, 0, "{stats:?}");
+}

@@ -335,3 +335,25 @@ fn blue_green_swap_moves_traffic_and_retires_the_old_generation() {
         assert_eq!(st.open_sessions(), 0, "green shard leaked: {st:?}");
     }
 }
+
+#[test]
+fn bind_refuses_an_invalid_literal_config_by_field() {
+    let bound = Router::bind(
+        "127.0.0.1:0",
+        &["127.0.0.1:1".to_string()],
+        RouterConfig {
+            vnodes: 0,
+            ..RouterConfig::default()
+        },
+    );
+    match bound {
+        Err(e) => {
+            assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{e}");
+            assert!(e.to_string().contains("vnodes"), "{e}");
+        }
+        Ok(router) => {
+            router.join();
+            panic!("a zero-vnode ring was accepted");
+        }
+    }
+}

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use etsc_core::TriggeredBase;
 use etsc_data::{Dataset, DatasetBuilder, MultiSeries, Series};
 use etsc_eval::experiment::RunConfig;
-use etsc_net::{ClientBuilder, Endpoint, ServerBuilder};
+use etsc_net::{Client, ClientConfig, NetServer, ServerConfig};
 use etsc_serve::{fit_triggered_model, load_resilient, StoredModel, StreamSession};
 use etsc_trigger::TriggerSpec;
 
@@ -76,9 +76,16 @@ fn session_decisions(stored: &StoredModel, data: &Dataset) -> Vec<(usize, usize)
 /// The same decisions over a real socket, using the rev-2 batched
 /// frames.
 fn wire_decisions(model: Arc<StoredModel>, data: &Dataset) -> Vec<(usize, usize)> {
-    let server = Endpoint::serve(model, "127.0.0.1:0", ServerBuilder::new()).unwrap();
+    let server = NetServer::bind(model, "127.0.0.1:0", ServerConfig::default()).unwrap();
     let addr = server.local_addr().to_string();
-    let mut client = Endpoint::connect(&addr, ClientBuilder::new().agent("parity")).unwrap();
+    let mut client = Client::connect(
+        &addr,
+        ClientConfig {
+            agent: "parity".into(),
+            ..Default::default()
+        },
+    )
+    .unwrap();
     assert!(
         client.negotiated_minor() >= 2,
         "expected the rev-2 batched protocol, got rev {}",
