@@ -352,7 +352,7 @@ impl StreamState for EcecStream<'_> {
         {
             let i = self.next_prefix;
             let pl = m.prefix_lengths[i];
-            let window = prefix.prefix(pl)?;
+            let window = prefix.prefix_cow(pl)?;
             let pred = m.pipelines[i].predict(&window)?;
             self.history.push((i, pred));
             let c = Ecec::confidence(&self.history, &m.reliability, pred);
@@ -366,7 +366,7 @@ impl StreamState for EcecStream<'_> {
             // Instance shorter than the next prefix: use what we have.
             let i = self.next_prefix.min(m.prefix_lengths.len() - 1);
             let pl = m.prefix_lengths[i].min(available);
-            let window = prefix.prefix(pl)?;
+            let window = prefix.prefix_cow(pl)?;
             return Ok(Some(m.pipelines[i].predict(&window)?));
         }
         Ok(None)

@@ -457,7 +457,7 @@ impl<F: FullClassifierTrait> StreamState for StrutStream<'_, F> {
         let m = self.model;
         let clf = m.model.as_ref().ok_or(EtscError::NotFitted)?;
         if prefix.len() >= m.best_t {
-            let window = prefix.prefix(m.best_t)?;
+            let window = prefix.prefix_cow(m.best_t)?;
             return Ok(Some(clf.predict(&window)?));
         }
         if is_final {

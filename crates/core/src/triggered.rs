@@ -307,7 +307,7 @@ impl<F: FullClassifierTrait> StreamState for TriggeredStream<'_, F> {
         let m = self.model;
         while self.next < m.snapshots.len() && m.snapshots[self.next].0 <= prefix.len() {
             let (t, clf) = &m.snapshots[self.next];
-            let window = prefix.prefix(*t)?;
+            let window = prefix.prefix_cow(*t)?;
             let probs = clf.predict_proba(&window)?;
             let decision = self.trigger.observe(&probs, *t, m.len);
             self.next += 1;

@@ -229,7 +229,7 @@ impl<'m> StreamSession<'m> {
         if !t.is_multiple_of(self.batch) && !is_final {
             return Ok(None);
         }
-        let prefix = MultiSeries::from_rows(self.values.clone()).map_err(EtscError::Data)?;
+        let prefix = MultiSeries::from_row_slices(&self.values).map_err(EtscError::Data)?;
         let started = Instant::now();
         if let Some(delay) = injected_delay {
             std::thread::sleep(delay);
@@ -296,7 +296,7 @@ impl<'m> StreamSession<'m> {
         if t == 0 {
             return Ok(self.commit(prior_label, 0, Some(FallbackKind::DrainPrior)));
         }
-        let prefix = MultiSeries::from_rows(self.values.clone()).map_err(EtscError::Data)?;
+        let prefix = MultiSeries::from_row_slices(&self.values).map_err(EtscError::Data)?;
         let started = Instant::now();
         let label = self.stream.observe(&prefix, true)?;
         self.record_eval(started.elapsed().as_secs_f64());

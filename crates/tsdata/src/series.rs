@@ -6,6 +6,8 @@
 //! the univariate algorithms and the per-variable voting adapter can borrow
 //! single channels without copying.
 
+use std::borrow::Cow;
+
 use crate::error::DataError;
 
 /// A univariate time-series: observations at uniform time steps.
@@ -105,9 +107,19 @@ impl MultiSeries {
     /// * [`DataError::Empty`] when no variables are given;
     /// * [`DataError::ShapeMismatch`] when rows differ in length.
     pub fn from_rows(rows: Vec<Vec<f64>>) -> Result<Self, DataError> {
+        Self::from_row_slices(&rows)
+    }
+
+    /// Builds a multivariate series by copying borrowed per-variable rows
+    /// once into its flat storage.
+    ///
+    /// # Errors
+    /// As [`MultiSeries::from_rows`].
+    pub fn from_row_slices<R: AsRef<[f64]>>(rows: &[R]) -> Result<Self, DataError> {
         let first = rows.first().ok_or(DataError::Empty("variable set"))?;
-        let len = first.len();
-        for row in &rows {
+        let len = first.as_ref().len();
+        for row in rows {
+            let row = row.as_ref();
             if row.len() != len {
                 return Err(DataError::ShapeMismatch {
                     what: "time points per variable",
@@ -119,7 +131,7 @@ impl MultiSeries {
         let vars = rows.len();
         let mut data = Vec::with_capacity(vars * len);
         for row in rows {
-            data.extend_from_slice(&row);
+            data.extend_from_slice(row.as_ref());
         }
         Ok(MultiSeries { data, vars, len })
     }
@@ -187,6 +199,19 @@ impl MultiSeries {
             vars: self.vars,
             len: l,
         })
+    }
+
+    /// The first `l` time points: `self`, borrowed, when `l` is the whole
+    /// length, else a copied [`MultiSeries::prefix`].
+    ///
+    /// # Errors
+    /// [`DataError::PrefixOutOfRange`] when `l > self.len()`.
+    pub fn prefix_cow(&self, l: usize) -> Result<Cow<'_, MultiSeries>, DataError> {
+        if l == self.len {
+            Ok(Cow::Borrowed(self))
+        } else {
+            self.prefix(l).map(Cow::Owned)
+        }
     }
 
     /// Extract one variable as an owned univariate [`Series`].
@@ -344,6 +369,28 @@ mod tests {
         assert_eq!(p.var(0), &[1.0, 2.0]);
         assert_eq!(p.var(1), &[4.0, 5.0]);
         assert!(ms.prefix(4).is_err());
+    }
+
+    #[test]
+    fn multiseries_prefix_cow_borrows_only_the_whole_length() {
+        let ms = MultiSeries::from_rows(vec![vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]).unwrap();
+        assert!(matches!(ms.prefix_cow(3).unwrap(), Cow::Borrowed(b) if std::ptr::eq(b, &ms)));
+        let p = ms.prefix_cow(2).unwrap();
+        assert!(matches!(p, Cow::Owned(_)));
+        assert_eq!(*p, ms.prefix(2).unwrap());
+        assert!(ms.prefix_cow(4).is_err());
+    }
+
+    #[test]
+    fn multiseries_from_row_slices_matches_from_rows() {
+        let rows = vec![vec![1.0, 2.0], vec![3.0, 4.0]];
+        let ms = MultiSeries::from_row_slices(&rows).unwrap();
+        assert_eq!(ms, MultiSeries::from_rows(rows).unwrap());
+        let ragged: [&[f64]; 2] = [&[1.0, 2.0], &[1.0]];
+        assert!(matches!(
+            MultiSeries::from_row_slices(&ragged).unwrap_err(),
+            DataError::ShapeMismatch { .. }
+        ));
     }
 
     #[test]
